@@ -133,8 +133,15 @@ CampaignStore::quarantine(const std::string &path,
         .inc();
 }
 
+std::unique_ptr<BeamLogText>
+CampaignStore::stage(const CampaignKey &key) const
+{
+    return BeamLogText::open(pathFor(key));
+}
+
 std::optional<CampaignRaw>
-CampaignStore::load(const CampaignKey &key)
+CampaignStore::load(const CampaignKey &key,
+                    std::unique_ptr<BeamLogText> staged)
 {
     std::string path = pathFor(key);
     Counter &hit =
@@ -155,8 +162,9 @@ CampaignStore::load(const CampaignKey &key)
     // failure means the bytes themselves are bad — quarantine the
     // entry and re-simulate.
     std::string error;
-    std::optional<CampaignRaw> parsed =
-        tryReadBeamLogFile(path, &error);
+    std::optional<CampaignRaw> parsed = staged
+        ? staged->take(&error)
+        : tryReadBeamLogFile(path, &error);
     if (!parsed)
         parsed = tryReadBeamLogFile(path, &error);
     if (!parsed) {

@@ -36,6 +36,7 @@
 #include "campaign/raw.hh"
 #include "campaign/stream.hh"
 #include "exec/pool.hh"
+#include "logs/beamlog.hh"
 #include "sim/workload.hh"
 
 namespace radcrit
@@ -96,11 +97,26 @@ class CampaignStore
     /**
      * Look a campaign up. A missing entry, or an entry whose header
      * does not match the key (hash collision, hand-edited file), is
-     * a miss; a present-but-unparseable entry is fatal like any
-     * malformed beam log. Loaded campaigns carry no launch and no
-     * stats — use simulateOrLoad() to get those rebuilt.
+     * a miss; an entry that does not parse twice in a row is
+     * quarantined and is a miss too. Loaded campaigns carry no
+     * launch and no stats — use simulateOrLoad() to get those
+     * rebuilt.
+     *
+     * @param staged The entry's bytes from stage(), with every
+     * piece parsed; it stands in for the first of the two reads.
      */
-    std::optional<CampaignRaw> load(const CampaignKey &key);
+    std::optional<CampaignRaw>
+    load(const CampaignKey &key,
+         std::unique_ptr<BeamLogText> staged = nullptr);
+
+    /**
+     * Read the entry for `key` into memory so that its parse can
+     * be split across threads (see BeamLogText); hand it back to
+     * load() once its pieces are parsed.
+     *
+     * @return nullptr when there is no readable entry.
+     */
+    std::unique_ptr<BeamLogText> stage(const CampaignKey &key) const;
 
     /** Write a campaign under its key (atomic rename into place). */
     void save(const CampaignRaw &raw);

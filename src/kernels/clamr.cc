@@ -5,6 +5,7 @@
 
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "kernels/golden_registry.hh"
 #include "kernels/inject_util.hh"
 
 namespace radcrit
@@ -86,83 +87,24 @@ Clamr::Clamr(const DeviceModel &device, int64_t grid, int64_t steps,
     if (paper_scale <= 0)
         fatal("CLAMR paper_scale must be positive");
 
-    ScopedTimer golden_timer(StatsRegistry::global(),
-                             "kernel.clamr.golden");
-
     snapInterval_ = std::max<int64_t>(steps_ / 16, 1);
 
-    // Circular dam break (the standard CLAMR test problem): a
-    // column of deep water at the centre over a shallow background.
-    // The paper's runs last 5000 steps, so almost every strike
-    // lands on a fully developed wave field; our scaled runs are
-    // shorter, so we seed satellite columns and a mild sloshing
-    // momentum so the whole domain is wave-active at every strike
-    // time (documented in DESIGN.md).
-    Rng rng(seed);
-    auto cells = static_cast<size_t>(n_) * n_;
-    init_.resize(cells);
-    double cx = static_cast<double>(n_) / 2.0;
-    double cy = static_cast<double>(n_) / 2.0;
-    double radius = static_cast<double>(n_) / 8.0;
-    struct Column { double r, c, rad, height; };
-    std::vector<Column> columns{{cy, cx, radius, 10.0}};
-    for (int sat = 0; sat < 6; ++sat) {
-        columns.push_back({
-            rng.uniform(0.1, 0.9) * static_cast<double>(n_),
-            rng.uniform(0.1, 0.9) * static_cast<double>(n_),
-            static_cast<double>(n_) / 16.0,
-            rng.uniform(3.0, 6.0)});
-    }
-    for (int64_t r = 0; r < n_; ++r) {
-        for (int64_t c = 0; c < n_; ++c) {
-            double h = 1.0;
-            for (const auto &col : columns) {
-                double dr = static_cast<double>(r) + 0.5 - col.r;
-                double dc = static_cast<double>(c) + 0.5 - col.c;
-                if (dr * dr + dc * dc < col.rad * col.rad)
-                    h = std::max(h, col.height);
-            }
-            size_t i = r * n_ + c;
-            init_.h[i] = h;
-            // Smooth long-wavelength slosh.
-            double ph = 2.0 * M_PI / static_cast<double>(n_);
-            init_.hu[i] = 0.3 * h *
-                std::sin(ph * static_cast<double>(c) * 2.0);
-            init_.hv[i] = 0.3 * h *
-                std::cos(ph * static_cast<double>(r) * 3.0);
-        }
-    }
-
-    // Golden run with checkpoints and AMR cell-count series.
-    AmrMap amr(n_, 0.5);
-    SweState cur = init_;
-    SweState nxt;
-    nxt.resize(cells);
-    std::vector<SweState> snaps;
-    snaps.push_back(cur);
-    amr.update(cur.h);
-    amrSeries_.push_back(amr.effectiveCells());
-    for (int64_t it = 0; it < steps_; ++it) {
-        step(cur, nxt);
-        std::swap(cur, nxt);
-        if ((it + 1) % snapInterval_ == 0 && it + 1 < steps_) {
-            snaps.push_back(cur);
-            amr.update(cur.h);
-            amrSeries_.push_back(amr.effectiveCells());
-        }
-    }
-    snaps_ = std::make_shared<const std::vector<SweState>>(
-        std::move(snaps));
-    golden_ = cur;
-    goldenMass_ = mass(golden_);
-    lastMass_ = goldenMass_;
+    // The golden reads the grid, the step count (which fixes the
+    // checkpoint interval) and the seed, and no device field.
+    gold_ = GoldenRegistry::global().get<Golden>(
+        "kernel.clamr.golden",
+        "grid=" + std::to_string(n_) +
+            " steps=" + std::to_string(steps_) +
+            " seed=" + std::to_string(seed),
+        [&] { return computeGolden(seed); });
+    lastMass_ = gold_->mass;
 
     // --- Launch traits at paper-equivalent scale -------------------
     int64_t n_eff = n_ * paperScale_;
     uint64_t mean_amr = 0;
-    for (uint64_t v : amrSeries_)
+    for (uint64_t v : gold_->amrSeries)
         mean_amr += v;
-    mean_amr /= amrSeries_.size();
+    mean_amr /= gold_->amrSeries.size();
     double amr_factor = static_cast<double>(mean_amr) /
         (static_cast<double>(n_) * static_cast<double>(n_));
 
@@ -210,6 +152,75 @@ Clamr::Clamr(const DeviceModel &device, int64_t grid, int64_t steps,
     traits_.setUtil(ResourceKind::PipelineLatch, 0.9);
     if (device_.hasResource(ResourceKind::Interconnect))
         traits_.setUtil(ResourceKind::Interconnect, 0.5);
+}
+
+Clamr::Golden
+Clamr::computeGolden(uint64_t seed) const
+{
+    // Circular dam break (the standard CLAMR test problem): a
+    // column of deep water at the centre over a shallow background.
+    // The paper's runs last 5000 steps, so almost every strike
+    // lands on a fully developed wave field; our scaled runs are
+    // shorter, so we seed satellite columns and a mild sloshing
+    // momentum so the whole domain is wave-active at every strike
+    // time (documented in DESIGN.md).
+    Rng rng(seed);
+    auto cells = static_cast<size_t>(n_) * n_;
+    SweState init;
+    init.resize(cells);
+    double cx = static_cast<double>(n_) / 2.0;
+    double cy = static_cast<double>(n_) / 2.0;
+    double radius = static_cast<double>(n_) / 8.0;
+    struct Column { double r, c, rad, height; };
+    std::vector<Column> columns{{cy, cx, radius, 10.0}};
+    for (int sat = 0; sat < 6; ++sat) {
+        columns.push_back({
+            rng.uniform(0.1, 0.9) * static_cast<double>(n_),
+            rng.uniform(0.1, 0.9) * static_cast<double>(n_),
+            static_cast<double>(n_) / 16.0,
+            rng.uniform(3.0, 6.0)});
+    }
+    for (int64_t r = 0; r < n_; ++r) {
+        for (int64_t c = 0; c < n_; ++c) {
+            double h = 1.0;
+            for (const auto &col : columns) {
+                double dr = static_cast<double>(r) + 0.5 - col.r;
+                double dc = static_cast<double>(c) + 0.5 - col.c;
+                if (dr * dr + dc * dc < col.rad * col.rad)
+                    h = std::max(h, col.height);
+            }
+            size_t i = r * n_ + c;
+            init.h[i] = h;
+            // Smooth long-wavelength slosh.
+            double ph = 2.0 * M_PI / static_cast<double>(n_);
+            init.hu[i] = 0.3 * h *
+                std::sin(ph * static_cast<double>(c) * 2.0);
+            init.hv[i] = 0.3 * h *
+                std::cos(ph * static_cast<double>(r) * 3.0);
+        }
+    }
+
+    // Golden run with checkpoints and AMR cell-count series.
+    AmrMap amr(n_, 0.5);
+    Golden gold;
+    SweState cur = std::move(init);
+    SweState nxt;
+    nxt.resize(cells);
+    gold.snaps.push_back(cur);
+    amr.update(cur.h);
+    gold.amrSeries.push_back(amr.effectiveCells());
+    for (int64_t it = 0; it < steps_; ++it) {
+        step(cur, nxt);
+        std::swap(cur, nxt);
+        if ((it + 1) % snapInterval_ == 0 && it + 1 < steps_) {
+            gold.snaps.push_back(cur);
+            amr.update(cur.h);
+            gold.amrSeries.push_back(amr.effectiveCells());
+        }
+    }
+    gold.mass = mass(cur);
+    gold.state = std::move(cur);
+    return gold;
 }
 
 std::string
@@ -380,8 +391,8 @@ Clamr::runWithCorruption(int64_t it0, int64_t persist,
 {
     int64_t snap = std::min<int64_t>(it0 / snapInterval_,
                                      static_cast<int64_t>(
-                                         snaps_->size()) - 1);
-    SweState cur = (*snaps_)[static_cast<size_t>(snap)];
+                                         gold_->snaps.size()) - 1);
+    SweState cur = gold_->snaps[static_cast<size_t>(snap)];
     SweState nxt;
     nxt.resize(cur.h.size());
     int64_t it_end = std::min(steps_, it0 + persist);
@@ -395,7 +406,7 @@ Clamr::runWithCorruption(int64_t it0, int64_t persist,
     for (int64_t r = 0; r < n_; ++r) {
         for (int64_t c = 0; c < n_; ++c) {
             double read = cur.h[r * n_ + c];
-            double expected = golden_.h[r * n_ + c];
+            double expected = gold_->state.h[r * n_ + c];
             if (read != expected || std::isnan(read))
                 out.elements.push_back({{r, c, 0}, read,
                                         expected});

@@ -71,8 +71,8 @@ class Clamr : public Workload
     SdcRecord emptyRecord() const override;
     std::unique_ptr<Workload> clone() const override
     {
-        // Clones share the checkpoint stack immutably; lastMass_
-        // and the scratch state stay private per clone.
+        // Clones share the golden block immutably; lastMass_
+        // stays private per clone.
         return std::make_unique<Clamr>(*this);
     }
 
@@ -85,11 +85,11 @@ class Clamr : public Workload
     /** @return golden final height field. */
     const std::vector<double> &goldenH() const
     {
-        return golden_.h;
+        return gold_->state.h;
     }
 
     /** @return total mass of the golden final state. */
-    double goldenMass() const { return goldenMass_; }
+    double goldenMass() const { return gold_->mass; }
 
     /**
      * @return total mass of the corrupted final state produced by
@@ -113,7 +113,7 @@ class Clamr : public Workload
      */
     const std::vector<uint64_t> &amrCellSeries() const
     {
-        return amrSeries_;
+        return gold_->amrSeries;
     }
 
     /** Gravity constant. */
@@ -122,6 +122,27 @@ class Clamr : public Workload
     static constexpr int64_t tile = 8;
 
   private:
+    /**
+     * Golden checkpoints, final state, mass and AMR series,
+     * immutable once computed: every Clamr of one grid, step count
+     * and seed (clones included) shares one block from the
+     * GoldenRegistry.
+     */
+    struct Golden
+    {
+        /** Checkpoints every snapInterval_ steps. */
+        std::vector<SweState> snaps;
+        /** Golden final state. */
+        SweState state;
+        /** Total mass of the golden final state. */
+        double mass = 0.0;
+        /** Effective AMR cell count at each checkpoint. */
+        std::vector<uint64_t> amrSeries;
+    };
+
+    /** The golden block of this grid from input seed `seed`. */
+    Golden computeGolden(uint64_t seed) const;
+
     using Corruptor =
         std::function<void(SweState &state, int64_t step)>;
 
@@ -152,16 +173,8 @@ class Clamr : public Workload
     int64_t snapInterval_;
     double dt_ = 0.025;
     WorkloadTraits traits_;
-    SweState init_;
-    SweState golden_;
-    double goldenMass_ = 0.0;
+    std::shared_ptr<const Golden> gold_;
     double lastMass_ = 0.0;
-    /**
-     * Golden checkpoints every snapInterval_ steps, immutable
-     * after construction and shared between clones.
-     */
-    std::shared_ptr<const std::vector<SweState>> snaps_;
-    std::vector<uint64_t> amrSeries_;
     /** Injection-replay latency telemetry. */
     PhaseTimer injectTimer_{StatsRegistry::global(),
                             "kernel.clamr.inject"};

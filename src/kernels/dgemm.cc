@@ -5,6 +5,7 @@
 
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "kernels/golden_registry.hh"
 #include "kernels/inject_util.hh"
 
 namespace radcrit
@@ -23,27 +24,16 @@ cacheUtil(double working_set_bits, double cache_bits,
 
 } // anonymous namespace
 
-Dgemm::Dgemm(const DeviceModel &device, int64_t n, uint64_t seed,
-             int64_t paper_scale)
-    : device_(device), n_(n), paperScale_(paper_scale)
+Dgemm::Golden
+Dgemm::computeGolden(int64_t n, uint64_t seed)
 {
-    if (n <= 0 || n % blockTile != 0)
-        fatal("DGEMM side %lld must be a positive multiple of %lld",
-              static_cast<long long>(n),
-              static_cast<long long>(blockTile));
-    if (paper_scale <= 0)
-        fatal("DGEMM paper_scale must be positive");
-
-    ScopedTimer golden_timer(StatsRegistry::global(),
-                             "kernel.dgemm.golden");
-
     // Sign-balanced inputs in (-1, 1): small enough to avoid
     // overflow, representative magnitude, balanced bit population
     // (paper Section IV-D).
     Rng rng(seed);
     Golden gold;
-    gold.a.resize(static_cast<size_t>(n_) * n_);
-    gold.b.resize(static_cast<size_t>(n_) * n_);
+    gold.a.resize(static_cast<size_t>(n) * n);
+    gold.b.resize(static_cast<size_t>(n) * n);
     for (auto &v : gold.a)
         v = rng.uniform(-1.0, 1.0);
     for (auto &v : gold.b)
@@ -52,16 +42,16 @@ Dgemm::Dgemm(const DeviceModel &device, int64_t n, uint64_t seed,
     // Golden output on the very same code path used at injection
     // time (paper IV-D: golden outputs calculated on the device
     // under test to avoid precision and round-off issues).
-    gold.c.assign(static_cast<size_t>(n_) * n_, 0.0);
+    gold.c.assign(static_cast<size_t>(n) * n, 0.0);
     constexpr int64_t kb = 64;
-    for (int64_t k0 = 0; k0 < n_; k0 += kb) {
-        int64_t k1 = std::min(n_, k0 + kb);
-        for (int64_t i = 0; i < n_; ++i) {
+    for (int64_t k0 = 0; k0 < n; k0 += kb) {
+        int64_t k1 = std::min(n, k0 + kb);
+        for (int64_t i = 0; i < n; ++i) {
             for (int64_t k = k0; k < k1; ++k) {
-                double aik = gold.a[i * n_ + k];
-                const double *brow = &gold.b[k * n_];
-                double *crow = &gold.c[i * n_];
-                for (int64_t j = 0; j < n_; ++j)
+                double aik = gold.a[i * n + k];
+                const double *brow = &gold.b[k * n];
+                double *crow = &gold.c[i * n];
+                for (int64_t j = 0; j < n; ++j)
                     crow[j] += aik * brow[j];
             }
         }
@@ -74,7 +64,27 @@ Dgemm::Dgemm(const DeviceModel &device, int64_t n, uint64_t seed,
                           static_cast<double>(gold.c.size()));
     if (gold.cRms <= 0.0)
         gold.cRms = 1.0;
-    gold_ = std::make_shared<const Golden>(std::move(gold));
+    return gold;
+}
+
+Dgemm::Dgemm(const DeviceModel &device, int64_t n, uint64_t seed,
+             int64_t paper_scale)
+    : device_(device), n_(n), paperScale_(paper_scale)
+{
+    if (n <= 0 || n % blockTile != 0)
+        fatal("DGEMM side %lld must be a positive multiple of %lld",
+              static_cast<long long>(n),
+              static_cast<long long>(blockTile));
+    if (paper_scale <= 0)
+        fatal("DGEMM paper_scale must be positive");
+
+    // The golden is a static function of the side and the seed
+    // alone (no device field), so the K40 and the Phi share one
+    // block per side.
+    gold_ = GoldenRegistry::global().get<Golden>(
+        "kernel.dgemm.golden",
+        "n=" + std::to_string(n_) + " seed=" + std::to_string(seed),
+        [&] { return computeGolden(n_, seed); });
 
     // --- Launch traits at paper-equivalent scale -------------------
     int64_t n_eff = n_ * paperScale_;

@@ -105,9 +105,10 @@ class Dgemm : public Workload
                 double read) const;
 
     /**
-     * Inputs and golden output, computed once at construction and
-     * immutable afterwards: clones share one block instead of
-     * copying O(n^2) doubles per campaign worker.
+     * Inputs and golden output, immutable once computed: every
+     * Dgemm of one side and seed (clones and both devices alike)
+     * shares one block from the GoldenRegistry instead of copying
+     * O(n^2) doubles per workload.
      */
     struct Golden
     {
@@ -117,6 +118,9 @@ class Dgemm : public Workload
         /** RMS magnitude of golden C (garbage-value scale). */
         double cRms = 1.0;
     };
+
+    /** The golden block of side n from input seed `seed`. */
+    static Golden computeGolden(int64_t n, uint64_t seed);
 
     std::string name_ = "DGEMM";
     DeviceModel device_;

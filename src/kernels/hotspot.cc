@@ -5,6 +5,7 @@
 
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "kernels/golden_registry.hh"
 #include "kernels/inject_util.hh"
 
 namespace radcrit
@@ -41,46 +42,16 @@ HotSpot::HotSpot(const DeviceModel &device, int64_t grid,
     if (paper_scale <= 0)
         fatal("HotSpot paper_scale must be positive");
 
-    ScopedTimer golden_timer(StatsRegistry::global(),
-                             "kernel.hotspot.golden");
-
     snapInterval_ = std::max<int64_t>(iters_ / 12, 1);
 
-    // Power map: smooth background plus a few hot functional units,
-    // mimicking the architectural floor plan input.
-    Rng rng(seed);
-    auto cells = static_cast<size_t>(n_) * n_;
-    power_.resize(cells);
-    tempInit_.resize(cells);
-    for (size_t i = 0; i < cells; ++i) {
-        power_[i] = static_cast<float>(rng.uniform(0.0, 0.4));
-        tempInit_[i] = 323.0f +
-            static_cast<float>(rng.uniform(0.0, 1.0));
-    }
-    int hot_blocks = 6;
-    for (int hb = 0; hb < hot_blocks; ++hb) {
-        int64_t r0 = rng.uniformRange(0, n_ - n_ / 8 - 1);
-        int64_t c0 = rng.uniformRange(0, n_ - n_ / 8 - 1);
-        for (int64_t r = r0; r < r0 + n_ / 8; ++r) {
-            for (int64_t c = c0; c < c0 + n_ / 8; ++c)
-                power_[r * n_ + c] += 1.5f;
-        }
-    }
-
-    // Golden run with checkpoints.
-    std::vector<float> cur = tempInit_;
-    std::vector<float> nxt(cells);
-    std::vector<std::vector<float>> snaps;
-    snaps.push_back(cur);
-    for (int64_t it = 0; it < iters_; ++it) {
-        step(cur, nxt);
-        cur.swap(nxt);
-        if ((it + 1) % snapInterval_ == 0 && it + 1 < iters_)
-            snaps.push_back(cur);
-    }
-    snaps_ = std::make_shared<
-        const std::vector<std::vector<float>>>(std::move(snaps));
-    golden_ = cur;
+    // The golden reads the grid, the iteration count (which fixes
+    // the checkpoint interval) and the seed, and no device field.
+    gold_ = GoldenRegistry::global().get<Golden>(
+        "kernel.hotspot.golden",
+        "grid=" + std::to_string(n_) +
+            " iterations=" + std::to_string(iters_) +
+            " seed=" + std::to_string(seed),
+        [&] { return computeGolden(seed); });
 
     // --- Launch traits at paper-equivalent scale -------------------
     int64_t n_eff = n_ * paperScale_;
@@ -141,6 +112,43 @@ HotSpot::HotSpot(const DeviceModel &device, int64_t grid,
         traits_.setUtil(ResourceKind::Interconnect, 0.6);
 }
 
+HotSpot::Golden
+HotSpot::computeGolden(uint64_t seed) const
+{
+    // Power map: smooth background plus a few hot functional units,
+    // mimicking the architectural floor plan input.
+    Rng rng(seed);
+    auto cells = static_cast<size_t>(n_) * n_;
+    Golden gold;
+    gold.power.resize(cells);
+    std::vector<float> cur(cells);
+    for (size_t i = 0; i < cells; ++i) {
+        gold.power[i] = static_cast<float>(rng.uniform(0.0, 0.4));
+        cur[i] = 323.0f + static_cast<float>(rng.uniform(0.0, 1.0));
+    }
+    int hot_blocks = 6;
+    for (int hb = 0; hb < hot_blocks; ++hb) {
+        int64_t r0 = rng.uniformRange(0, n_ - n_ / 8 - 1);
+        int64_t c0 = rng.uniformRange(0, n_ - n_ / 8 - 1);
+        for (int64_t r = r0; r < r0 + n_ / 8; ++r) {
+            for (int64_t c = c0; c < c0 + n_ / 8; ++c)
+                gold.power[r * n_ + c] += 1.5f;
+        }
+    }
+
+    // Golden run with checkpoints.
+    std::vector<float> nxt(cells);
+    gold.snaps.push_back(cur);
+    for (int64_t it = 0; it < iters_; ++it) {
+        step(gold.power, cur, nxt);
+        cur.swap(nxt);
+        if ((it + 1) % snapInterval_ == 0 && it + 1 < iters_)
+            gold.snaps.push_back(cur);
+    }
+    gold.temp = std::move(cur);
+    return gold;
+}
+
 std::string
 HotSpot::inputLabel() const
 {
@@ -161,6 +169,14 @@ void
 HotSpot::step(const std::vector<float> &src,
               std::vector<float> &dst) const
 {
+    step(gold_->power, src, dst);
+}
+
+void
+HotSpot::step(const std::vector<float> &power,
+              const std::vector<float> &src,
+              std::vector<float> &dst) const
+{
     auto at = [&](int64_t r, int64_t c) {
         r = std::clamp<int64_t>(r, 0, n_ - 1);
         c = std::clamp<int64_t>(c, 0, n_ - 1);
@@ -171,7 +187,7 @@ HotSpot::step(const std::vector<float> &src,
             float t = src[r * n_ + c];
             float lap_r = at(r - 1, c) + at(r + 1, c) - 2.0f * t;
             float lap_c = at(r, c - 1) + at(r, c + 1) - 2.0f * t;
-            dst[r * n_ + c] = t + cPow * power_[r * n_ + c] +
+            dst[r * n_ + c] = t + cPow * power[r * n_ + c] +
                 cLat * (lap_r + lap_c) + cAmb * (ambient - t);
         }
     }
@@ -192,8 +208,8 @@ HotSpot::runWithCorruption(int64_t it0, int64_t persist,
 {
     int64_t snap = std::min<int64_t>(it0 / snapInterval_,
                                      static_cast<int64_t>(
-                                         snaps_->size()) - 1);
-    std::vector<float> cur = (*snaps_)[static_cast<size_t>(snap)];
+                                         gold_->snaps.size()) - 1);
+    std::vector<float> cur = gold_->snaps[static_cast<size_t>(snap)];
     std::vector<float> nxt(cur.size());
     int64_t it_end = std::min(iters_, it0 + persist);
     for (int64_t it = snap * snapInterval_; it < iters_; ++it) {
@@ -205,7 +221,7 @@ HotSpot::runWithCorruption(int64_t it0, int64_t persist,
     for (int64_t r = 0; r < n_; ++r) {
         for (int64_t c = 0; c < n_; ++c) {
             float read = cur[r * n_ + c];
-            float expected = golden_[r * n_ + c];
+            float expected = gold_->temp[r * n_ + c];
             if (read != expected || std::isnan(read)) {
                 out.elements.push_back({{r, c, 0},
                                         static_cast<double>(read),

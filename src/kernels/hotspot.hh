@@ -63,8 +63,7 @@ class HotSpot : public Workload
     SdcRecord emptyRecord() const override;
     std::unique_ptr<Workload> clone() const override
     {
-        // Clones share the checkpoint stack (the dominant buffer)
-        // immutably; everything else is copied.
+        // Clones share the golden block immutably.
         return std::make_unique<HotSpot>(*this);
     }
 
@@ -75,7 +74,10 @@ class HotSpot : public Workload
     int64_t iterations() const { return iters_; }
 
     /** @return golden final temperature field (row-major). */
-    const std::vector<float> &goldenTemp() const { return golden_; }
+    const std::vector<float> &goldenTemp() const
+    {
+        return gold_->temp;
+    }
 
     /** Block tile side. */
     static constexpr int64_t tile = 16;
@@ -90,6 +92,29 @@ class HotSpot : public Workload
               std::vector<float> &dst) const;
 
   private:
+    /**
+     * Power map, golden checkpoints and golden output, immutable
+     * once computed: every HotSpot of one grid, iteration count
+     * and seed (clones included) shares one block from the
+     * GoldenRegistry.
+     */
+    struct Golden
+    {
+        std::vector<float> power;
+        /** Checkpoints every snapInterval_ iterations. */
+        std::vector<std::vector<float>> snaps;
+        /** Golden final temperature field. */
+        std::vector<float> temp;
+    };
+
+    /** The golden block of this grid from input seed `seed`. */
+    Golden computeGolden(uint64_t seed) const;
+
+    /** One stencil iteration under the given power map. */
+    void step(const std::vector<float> &power,
+              const std::vector<float> &src,
+              std::vector<float> &dst) const;
+
     /**
      * Corruption hook applied at the start of each struck iteration.
      */
@@ -128,14 +153,7 @@ class HotSpot : public Workload
     int64_t paperScale_;
     int64_t snapInterval_;
     WorkloadTraits traits_;
-    std::vector<float> power_;
-    std::vector<float> tempInit_;
-    std::vector<float> golden_;
-    /**
-     * Golden checkpoints every snapInterval_ iterations, immutable
-     * after construction and shared between clones.
-     */
-    std::shared_ptr<const std::vector<std::vector<float>>> snaps_;
+    std::shared_ptr<const Golden> gold_;
     /** Injection-replay latency telemetry. */
     PhaseTimer injectTimer_{StatsRegistry::global(),
                             "kernel.hotspot.inject"};

@@ -5,6 +5,7 @@
 
 #include "common/logging.hh"
 #include "common/rng.hh"
+#include "kernels/golden_registry.hh"
 #include "kernels/inject_util.hh"
 
 namespace radcrit
@@ -36,49 +37,23 @@ LavaMd::LavaMd(const DeviceModel &device, int64_t boxes1d,
         fatal("device %s has no LavaMD particle tuning",
               device_.name.c_str());
 
-    ScopedTimer golden_timer(StatsRegistry::global(),
-                             "kernel.lavamd.golden");
-
     p_ = std::max<int64_t>(
         device_.particlesPerBoxHint / particle_scale, 4);
 
-    int64_t boxes = nb_ * nb_ * nb_;
-    auto total = static_cast<size_t>(boxes * p_);
-    posx_.resize(total);
-    posy_.resize(total);
-    posz_.resize(total);
-    charge_.resize(total);
-
-    Rng rng(seed);
-    for (int64_t b = 0; b < boxes; ++b) {
-        auto bc = boxCoord(b);
-        for (int64_t p = 0; p < p_; ++p) {
-            size_t gi = b * p_ + p;
-            posx_[gi] = static_cast<double>(bc[0]) + rng.uniform();
-            posy_[gi] = static_cast<double>(bc[1]) + rng.uniform();
-            posz_[gi] = static_cast<double>(bc[2]) + rng.uniform();
-            charge_[gi] = rng.uniform(0.1, 1.0);
-        }
-    }
-    curx_ = posx_;
-    cury_ = posy_;
-    curz_ = posz_;
-    curq_ = charge_;
-
-    fGolden_.resize(total);
-    for (int64_t b = 0; b < boxes; ++b) {
-        auto neigh = neighbors(b);
-        for (int64_t p = 0; p < p_; ++p) {
-            int64_t gi = b * p_ + p;
-            fGolden_[gi] = forceOver(gi, neigh);
-        }
-    }
-    double sumsq = 0.0;
-    for (double f : fGolden_)
-        sumsq += f * f;
-    fRms_ = std::sqrt(sumsq / static_cast<double>(total));
-    if (fRms_ <= 0.0)
-        fRms_ = 1.0;
+    // The golden reads the grid (nb_), the particles per box (p_,
+    // the only device-derived value) and the seed, and no other
+    // device field: the K40 (P = 12) and the Phi (P = 6) get
+    // distinct blocks for the same boxes/dim.
+    gold_ = GoldenRegistry::global().get<Golden>(
+        "kernel.lavamd.golden",
+        "boxes=" + std::to_string(nb_) +
+            " particles=" + std::to_string(p_) +
+            " seed=" + std::to_string(seed),
+        [&] { return computeGolden(seed); });
+    curx_ = gold_->posx;
+    cury_ = gold_->posy;
+    curz_ = gold_->posz;
+    curq_ = gold_->charge;
 
     // --- Launch traits at paper-equivalent scale -------------------
     int64_t nb_eff = paperBoxes_;
@@ -133,6 +108,52 @@ LavaMd::LavaMd(const DeviceModel &device, int64_t boxes1d,
     traits_.setUtil(ResourceKind::PipelineLatch, 0.8);
     if (device_.hasResource(ResourceKind::Interconnect))
         traits_.setUtil(ResourceKind::Interconnect, 0.7);
+}
+
+LavaMd::Golden
+LavaMd::computeGolden(uint64_t seed)
+{
+    int64_t boxes = nb_ * nb_ * nb_;
+    auto total = static_cast<size_t>(boxes * p_);
+    Golden gold;
+    gold.posx.resize(total);
+    gold.posy.resize(total);
+    gold.posz.resize(total);
+    gold.charge.resize(total);
+
+    Rng rng(seed);
+    for (int64_t b = 0; b < boxes; ++b) {
+        auto bc = boxCoord(b);
+        for (int64_t p = 0; p < p_; ++p) {
+            size_t gi = b * p_ + p;
+            gold.posx[gi] = static_cast<double>(bc[0]) + rng.uniform();
+            gold.posy[gi] = static_cast<double>(bc[1]) + rng.uniform();
+            gold.posz[gi] = static_cast<double>(bc[2]) + rng.uniform();
+            gold.charge[gi] = rng.uniform(0.1, 1.0);
+        }
+    }
+
+    // Golden forces on the injection path itself: forceOver()
+    // reads the working copies, pristine at this point.
+    curx_ = gold.posx;
+    cury_ = gold.posy;
+    curz_ = gold.posz;
+    curq_ = gold.charge;
+    gold.force.resize(total);
+    for (int64_t b = 0; b < boxes; ++b) {
+        auto neigh = neighbors(b);
+        for (int64_t p = 0; p < p_; ++p) {
+            int64_t gi = b * p_ + p;
+            gold.force[gi] = forceOver(gi, neigh);
+        }
+    }
+    double sumsq = 0.0;
+    for (double f : gold.force)
+        sumsq += f * f;
+    gold.rms = std::sqrt(sumsq / static_cast<double>(total));
+    if (gold.rms <= 0.0)
+        gold.rms = 1.0;
+    return gold;
 }
 
 std::string
@@ -251,7 +272,7 @@ LavaMd::consumerBoxes(ResourceKind resource, size_t neigh,
 void
 LavaMd::record(SdcRecord &out, int64_t gi, double read) const
 {
-    double expected = fGolden_[gi];
+    double expected = gold_->force[gi];
     if (read != expected || std::isnan(read)) {
         auto bc = boxCoord(gi / p_);
         out.elements.push_back({{bc[0], bc[1], bc[2]}, read,
@@ -278,7 +299,7 @@ LavaMd::recomputeBoxWith(int64_t box,
             // Delta update: only terms against corrupted particles
             // change — but only when those particles are inside
             // this box's neighborhood.
-            f = fGolden_[gi];
+            f = gold_->force[gi];
             for (int64_t gj : corrupted_gi) {
                 if (gj == gi)
                     continue;
@@ -288,11 +309,12 @@ LavaMd::recomputeBoxWith(int64_t box,
                     continue;
                 }
                 // Original term recomputed from pristine inputs.
-                double dx = posx_[gi] - posx_[gj];
-                double dy = posy_[gi] - posy_[gj];
-                double dz = posz_[gi] - posz_[gj];
+                const Golden &g = *gold_;
+                double dx = g.posx[gi] - g.posx[gj];
+                double dy = g.posy[gi] - g.posy[gj];
+                double dz = g.posz[gi] - g.posz[gj];
                 double r2 = dx * dx + dy * dy + dz * dz;
-                double orig = charge_[gj] * 2.0 *
+                double orig = g.charge[gj] * 2.0 *
                     std::exp(-a2 * r2) * dx;
                 f += pairForce(gi, gj) - orig;
             }
@@ -335,10 +357,10 @@ LavaMd::inject(const Strike &strike, Rng &rng)
               static_cast<int>(strike.manifestation));
     }
     // Restore pristine inputs for the next injection.
-    curx_ = posx_;
-    cury_ = posy_;
-    curz_ = posz_;
-    curq_ = charge_;
+    curx_ = gold_->posx;
+    cury_ = gold_->posy;
+    curz_ = gold_->posz;
+    curq_ = gold_->charge;
     return out;
 }
 
@@ -346,7 +368,7 @@ void
 LavaMd::injectValueFlip(const Strike &strike, Rng &rng,
                         SdcRecord &out)
 {
-    auto total = static_cast<int64_t>(fGolden_.size());
+    auto total = static_cast<int64_t>(gold_->force.size());
     bool thread_private =
         strike.resource == ResourceKind::RegisterFile ||
         strike.resource == ResourceKind::PipelineLatch;
@@ -365,7 +387,7 @@ LavaMd::injectValueFlip(const Strike &strike, Rng &rng,
                                   static_cast<long>(k0));
         double partial = forceOver(gi, head);
         double flipped = flipBits(partial, strike.burstBits, rng);
-        record(out, gi, flipped + (fGolden_[gi] - partial));
+        record(out, gi, flipped + (gold_->force[gi] - partial));
         return;
     }
 
@@ -399,17 +421,18 @@ LavaMd::injectValueFlip(const Strike &strike, Rng &rng,
                                   static_cast<long>(k0),
                                   neigh.end());
         // Golden partial over the already-processed boxes...
-        double f = fGolden_[gj];
+        const Golden &g = *gold_;
+        double f = g.force[gj];
         for (int64_t b : tail) {
             for (int64_t p = 0; p < p_; ++p) {
                 int64_t go = b * p_ + p;
                 if (go == gj)
                     continue;
-                double dx = posx_[gj] - posx_[go];
-                double dy = posy_[gj] - posy_[go];
-                double dz = posz_[gj] - posz_[go];
+                double dx = g.posx[gj] - g.posx[go];
+                double dy = g.posy[gj] - g.posy[go];
+                double dz = g.posz[gj] - g.posz[go];
                 double r2 = dx * dx + dy * dy + dz * dz;
-                f -= charge_[go] * 2.0 * std::exp(-a2 * r2) * dx;
+                f -= g.charge[go] * 2.0 * std::exp(-a2 * r2) * dx;
             }
         }
         // ...plus the tail recomputed with the corrupted own
@@ -419,11 +442,11 @@ LavaMd::injectValueFlip(const Strike &strike, Rng &rng,
                 int64_t go = b * p_ + p;
                 if (go == gj)
                     continue;
-                double dx = curx_[gj] - posx_[go];
-                double dy = cury_[gj] - posy_[go];
-                double dz = curz_[gj] - posz_[go];
+                double dx = curx_[gj] - g.posx[go];
+                double dy = cury_[gj] - g.posy[go];
+                double dz = curz_[gj] - g.posz[go];
                 double r2 = dx * dx + dy * dy + dz * dz;
-                f += charge_[go] * 2.0 * std::exp(-a2 * r2) * dx;
+                f += g.charge[go] * 2.0 * std::exp(-a2 * r2) * dx;
             }
         }
         record(out, gj, f);
@@ -451,7 +474,7 @@ void
 LavaMd::injectInputLineFlip(const Strike &strike, Rng &rng,
                             SdcRecord &out)
 {
-    auto total = static_cast<int64_t>(fGolden_.size());
+    auto total = static_cast<int64_t>(gold_->force.size());
     int64_t line_vals = std::max<uint32_t>(
         device_.cacheLineBytes / 8, 1);
     int64_t start = rng.uniformRange(0, total - 1) / line_vals *
@@ -515,7 +538,7 @@ LavaMd::injectWrongOperation(const Strike &strike, Rng &rng,
     for (int64_t e = 0; e <= extra; ++e) {
         int64_t b = (b0 + e * stride) % boxes;
         for (int64_t p = 0; p < p_; ++p)
-            record(out, b * p_ + p, garbageValue(fRms_, rng));
+            record(out, b * p_ + p, garbageValue(gold_->rms, rng));
     }
 }
 
@@ -594,7 +617,7 @@ LavaMd::injectMisscheduledBlock(const Strike &strike, Rng &rng,
     if (src == b)
         src = (src + 1) % boxes;
     for (int64_t p = 0; p < p_; ++p)
-        record(out, b * p_ + p, fGolden_[src * p_ + p]);
+        record(out, b * p_ + p, gold_->force[src * p_ + p]);
 }
 
 } // namespace radcrit

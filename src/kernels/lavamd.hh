@@ -24,6 +24,7 @@
 #define RADCRIT_KERNELS_LAVAMD_HH
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -61,9 +62,8 @@ class LavaMd : public Workload
     SdcRecord emptyRecord() const override;
     std::unique_ptr<Workload> clone() const override
     {
-        // Positions/charges and golden forces are small (boxes^3 *
-        // P doubles), so a plain copy is cheaper than sharing; the
-        // cur* scratch buffers must be private per clone anyway.
+        // Clones share the golden block; only the cur* scratch
+        // buffers are copied.
         return std::make_unique<LavaMd>(*this);
     }
 
@@ -76,7 +76,7 @@ class LavaMd : public Workload
     /** @return golden forces (x), indexed box * P + particle. */
     const std::vector<double> &goldenForce() const
     {
-        return fGolden_;
+        return gold_->force;
     }
 
     /** Interaction coefficient: u2 = a2 * r^2. */
@@ -127,6 +127,27 @@ class LavaMd : public Workload
 
     void record(SdcRecord &out, int64_t gi, double read) const;
 
+    /**
+     * Inputs and golden forces, immutable once computed: every
+     * LavaMd of one grid, particle count and seed (clones
+     * included) shares one block from the GoldenRegistry.
+     */
+    struct Golden
+    {
+        /** Positions and charges, indexed box * P + particle. */
+        std::vector<double> posx, posy, posz, charge;
+        /** Golden forces (x), same indexing. */
+        std::vector<double> force;
+        /** RMS magnitude of the golden forces. */
+        double rms = 1.0;
+    };
+
+    /**
+     * The golden block of this grid (nb_, p_) from input seed
+     * `seed`, computed through forceOver() on the working copies.
+     */
+    Golden computeGolden(uint64_t seed);
+
     std::string name_ = "LavaMD";
     DeviceModel device_;
     int64_t nb_;
@@ -134,12 +155,9 @@ class LavaMd : public Workload
     int64_t paperScale_;
     int64_t paperBoxes_;
     WorkloadTraits traits_;
-    /** Positions and charges, indexed box * P + particle. */
-    std::vector<double> posx_, posy_, posz_, charge_;
+    std::shared_ptr<const Golden> gold_;
     /** Working copies holding injected corruption. */
     std::vector<double> curx_, cury_, curz_, curq_;
-    std::vector<double> fGolden_;
-    double fRms_ = 1.0;
     /** Injection-replay latency telemetry. */
     PhaseTimer injectTimer_{StatsRegistry::global(),
                             "kernel.lavamd.inject"};

@@ -1,10 +1,12 @@
 #include "logs/beamlog.hh"
 
 #include <algorithm>
+#include <cctype>
 #include <cstdio>
 #include <filesystem>
 #include <map>
 #include <sstream>
+#include <string_view>
 
 #include "common/logging.hh"
 #include "exec/chaos.hh"
@@ -184,6 +186,29 @@ writeRunRecord(std::ostream &os, const RawRun &run, uint64_t idx)
     os << "#END idx=" << idx << '\n';
 }
 
+/** Parse the fields of one #ERR line (after its keyword). */
+CorruptedElement
+parseErrFields(std::istringstream &iss, const std::string &line)
+{
+    auto fields = parseFields(iss, line);
+    CorruptedElement e;
+    e.coord = {toInt(need(fields, "x", line), line),
+               toInt(need(fields, "y", line), line),
+               toInt(need(fields, "z", line), line)};
+    e.read = toDouble(need(fields, "read", line), line);
+    e.expected = toDouble(need(fields, "expected", line), line);
+    return e;
+}
+
+/** @return whether a log line's first token is #ERR. */
+bool
+isErrLine(std::string_view line)
+{
+    return line.starts_with("#ERR") &&
+        (line.size() == 4 ||
+         std::isspace(static_cast<unsigned char>(line[4])));
+}
+
 /**
  * Incremental parser over the shared #RUN/#DIMS/#ERR/#END record
  * grammar. Throws BeamLogParseError on malformed lines; a run is
@@ -239,15 +264,8 @@ struct RecordParser
             if (!inRun)
                 throw BeamLogParseError(strprintf(
                     "#ERR outside a run: %s", line.c_str()));
-            auto fields = parseFields(iss, line);
-            CorruptedElement e;
-            e.coord = {toInt(need(fields, "x", line), line),
-                       toInt(need(fields, "y", line), line),
-                       toInt(need(fields, "z", line), line)};
-            e.read = toDouble(need(fields, "read", line), line);
-            e.expected = toDouble(need(fields, "expected", line),
-                                  line);
-            current.record.elements.push_back(e);
+            current.record.elements.push_back(
+                parseErrFields(iss, line));
             return std::nullopt;
         }
         if (keyword == "#END") {
@@ -294,6 +312,41 @@ parseHeaderLine(std::istringstream &iss, const std::string &line)
     return header;
 }
 
+/** Copy a parsed #HEADER into the campaign it opens. */
+void
+applyHeader(CampaignRaw &raw, const HeaderFields &header)
+{
+    raw.deviceName = header.device;
+    raw.workloadName = header.workload;
+    raw.inputLabel = header.input;
+    raw.sim.seed = header.seed;
+    raw.sim.faultyRuns = header.runs;
+    raw.sensitiveAreaAu = header.sensitiveAreaAu;
+}
+
+/**
+ * The end-of-log checks of a whole-campaign parse; throws
+ * BeamLogParseError on a log truncated inside a run, one without a
+ * #HEADER, or one whose run count contradicts its header.
+ */
+void
+checkComplete(const RecordParser &records, bool have_header,
+              uint64_t declared_runs, uint64_t runs)
+{
+    if (records.inRun)
+        throw BeamLogParseError(strprintf(
+            "beam log truncated inside run %llu",
+            static_cast<unsigned long long>(
+                records.current.index)));
+    if (!have_header)
+        throw BeamLogParseError("beam log has no #HEADER");
+    if (runs != declared_runs)
+        throw BeamLogParseError(strprintf(
+            "beam log declares %llu runs but contains %llu",
+            static_cast<unsigned long long>(declared_runs),
+            static_cast<unsigned long long>(runs)));
+}
+
 /** Parse core of readBeamLog(); throws BeamLogParseError. */
 CampaignRaw
 parseBeamLog(std::istream &is)
@@ -312,33 +365,150 @@ parseBeamLog(std::istream &is)
         iss >> keyword;
         if (keyword == "#HEADER") {
             HeaderFields header = parseHeaderLine(iss, line);
-            raw.deviceName = header.device;
-            raw.workloadName = header.workload;
-            raw.inputLabel = header.input;
-            raw.sim.seed = header.seed;
+            applyHeader(raw, header);
             declared_runs = header.runs;
-            raw.sim.faultyRuns = declared_runs;
-            raw.sensitiveAreaAu = header.sensitiveAreaAu;
             have_header = true;
         } else if (auto run = records.consume(keyword, iss,
                                               line)) {
             raw.runs.push_back(std::move(*run));
         }
     }
-    if (records.inRun)
-        throw BeamLogParseError(strprintf(
-            "beam log truncated inside run %llu",
-            static_cast<unsigned long long>(
-                records.current.index)));
-    if (!have_header)
-        throw BeamLogParseError("beam log has no #HEADER");
-    if (raw.runs.size() != declared_runs)
-        throw BeamLogParseError(strprintf(
-            "beam log declares %llu runs but contains %llu",
-            static_cast<unsigned long long>(declared_runs),
-            static_cast<unsigned long long>(raw.runs.size())));
+    checkComplete(records, have_header, declared_runs,
+                  raw.runs.size());
     return raw;
 }
+
+} // anonymous namespace
+
+BeamLogText::BeamLogText(std::string text, uint64_t pieceLines)
+    : text_(std::move(text))
+{
+    pieceLines = std::max<uint64_t>(pieceLines, 1);
+    RecordParser records;
+    uint64_t declared_runs = 0;
+    bool have_header = false;
+    // Lines in the last piece, while it can still grow: consecutive
+    // #ERR lines of the open run.
+    uint64_t piece_lines = 0;
+
+    size_t pos = 0;
+    while (pos < text_.size()) {
+        size_t end = std::min(text_.find('\n', pos), text_.size());
+        std::string_view view(text_.data() + pos, end - pos);
+        if (records.inRun && isErrLine(view)) {
+            if (piece_lines == 0 || piece_lines == pieceLines) {
+                pieces_.push_back(
+                    {raw_.runs.size(),
+                     records.current.record.elements.size(), pos,
+                     end, std::nullopt});
+                piece_lines = 0;
+            }
+            pieces_.back().end = end;
+            ++piece_lines;
+            records.current.record.elements.emplace_back();
+            pos = end + 1;
+            continue;
+        }
+        piece_lines = 0;
+        if (!view.empty()) {
+            std::string line(view);
+            try {
+                std::istringstream iss(line);
+                std::string keyword;
+                iss >> keyword;
+                if (keyword == "#HEADER") {
+                    HeaderFields header = parseHeaderLine(iss, line);
+                    applyHeader(raw_, header);
+                    declared_runs = header.runs;
+                    have_header = true;
+                } else if (auto run = records.consume(keyword, iss,
+                                                      line)) {
+                    raw_.runs.push_back(std::move(*run));
+                }
+            } catch (const BeamLogParseError &e) {
+                failure_ = Failure{pos, e.what()};
+            }
+            if (failure_)
+                break;
+        }
+        pos = end + 1;
+    }
+
+    if (!failure_) {
+        try {
+            checkComplete(records, have_header, declared_runs,
+                          raw_.runs.size());
+        } catch (const BeamLogParseError &e) {
+            failure_ = Failure{text_.size(), e.what()};
+        }
+    }
+    // A run still open here (truncated log, or the pass stopped at
+    // a malformed line) keeps its element slots, so its pieces
+    // still parse: a malformed #ERR line earlier in the file is the
+    // error to report.
+    if (records.inRun)
+        raw_.runs.push_back(std::move(records.current));
+}
+
+std::unique_ptr<BeamLogText>
+BeamLogText::open(const std::string &path, uint64_t pieceLines)
+{
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
+    std::streamoff size = in ? std::streamoff(in.tellg()) : -1;
+    if (size < 0)
+        return nullptr;
+    std::string text(static_cast<size_t>(size), '\0');
+    in.seekg(0);
+    in.read(text.data(), static_cast<std::streamsize>(text.size()));
+    // A short read (the file shrank under us) leaves a log the
+    // parse rejects, like any torn entry.
+    text.resize(static_cast<size_t>(in.gcount()));
+    return std::make_unique<BeamLogText>(std::move(text),
+                                         pieceLines);
+}
+
+void
+BeamLogText::parsePiece(size_t p)
+{
+    Piece &piece = pieces_[p];
+    std::vector<CorruptedElement> &elements =
+        raw_.runs[piece.run].record.elements;
+    size_t slot = piece.firstElement;
+    for (size_t pos = piece.begin; pos < piece.end;) {
+        size_t end = std::min(text_.find('\n', pos), piece.end);
+        std::string line(text_, pos, end - pos);
+        try {
+            std::istringstream iss(line);
+            std::string keyword;
+            iss >> keyword;
+            elements[slot++] = parseErrFields(iss, line);
+        } catch (const BeamLogParseError &e) {
+            piece.failure = Failure{pos, e.what()};
+            return;
+        }
+        pos = end + 1;
+    }
+}
+
+std::optional<CampaignRaw>
+BeamLogText::take(std::string *error)
+{
+    const Failure *first = failure_ ? &*failure_ : nullptr;
+    for (const Piece &piece : pieces_) {
+        if (piece.failure &&
+            (!first || piece.failure->offset < first->offset))
+            first = &*piece.failure;
+    }
+    if (first) {
+        if (error)
+            *error = first->message;
+        return std::nullopt;
+    }
+    return std::move(raw_);
+}
+
+namespace
+{
 
 std::string
 shardHeader(const CampaignRaw &raw)

@@ -124,6 +124,70 @@ tryReadBeamLogFile(const std::string &path,
                    std::string *error = nullptr);
 
 /**
+ * A campaign log held in memory and parsed in two steps, so that
+ * one large log can be parsed on several threads (tryReadBeamLog()
+ * streams instead and holds only the parsed runs). The constructor
+ * makes the serial pass: it parses the #HEADER and every per-run
+ * line (#RUN/#DIMS/#END) and sizes each run's element vector for
+ * its #ERR lines, which hold nearly all of a log's bytes. Those
+ * lines are dealt into pieces of at most `pieceLines` lines each;
+ * parsePiece() fills one piece's elements in place, and distinct
+ * pieces may be parsed concurrently. take() then yields exactly
+ * what tryReadBeamLog() yields for the same bytes, the diagnostic
+ * of the first malformed line in file order included.
+ */
+class BeamLogText
+{
+  public:
+    explicit BeamLogText(std::string text,
+                         uint64_t pieceLines = 2048);
+
+    /** @return the log at `path`, or nullptr if unreadable. */
+    static std::unique_ptr<BeamLogText>
+    open(const std::string &path, uint64_t pieceLines = 2048);
+
+    /** @return the number of #ERR pieces to parse. */
+    size_t pieces() const { return pieces_.size(); }
+
+    /**
+     * Parse piece `p`'s #ERR lines into their elements. Never
+     * throws: a malformed line is kept for take() to report.
+     */
+    void parsePiece(size_t p);
+
+    /**
+     * Finish the parse once every piece is parsed (call once).
+     *
+     * @return the campaign, or nullopt with the diagnostic in
+     * *error when given.
+     */
+    std::optional<CampaignRaw> take(std::string *error = nullptr);
+
+  private:
+    /** A diagnostic and the byte offset of the line it blames. */
+    struct Failure
+    {
+        size_t offset = 0;
+        std::string message;
+    };
+
+    /** Consecutive #ERR lines of one run. */
+    struct Piece
+    {
+        size_t run = 0;
+        size_t firstElement = 0;
+        size_t begin = 0;
+        size_t end = 0;
+        std::optional<Failure> failure;
+    };
+
+    std::string text_;
+    CampaignRaw raw_;
+    std::vector<Piece> pieces_;
+    std::optional<Failure> failure_;
+};
+
+/**
  * Incremental record-at-a-time beam-log writer: the streaming
  * counterpart of writeBeamLog() (which is implemented on top of
  * it). header() emits the #HEADER line up front with the declared

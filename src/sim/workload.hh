@@ -33,8 +33,8 @@ class Rng;
  * the Strike) but may scribble on internal scratch buffers, so
  * concurrent inject() calls on the *same* instance are not allowed.
  * Parallel campaigns give every worker its own instance via
- * clone(); clones share immutable golden data where that is cheap
- * and are safe to use from different threads concurrently.
+ * clone(); clones share the immutable golden block and are safe to
+ * use from different threads concurrently.
  */
 class Workload
 {
@@ -45,9 +45,9 @@ class Workload
      * @return an independent copy of this workload bound to the
      * same device and input: identical name/label/traits/golden
      * output, with private scratch state so the copy can run
-     * inject() concurrently with the original. Large immutable
-     * buffers (golden outputs, replay checkpoints) are shared
-     * between clones.
+     * inject() concurrently with the original. The immutable
+     * golden block (inputs, golden output, replay checkpoints) is
+     * shared between clones, never recomputed.
      */
     virtual std::unique_ptr<Workload> clone() const = 0;
 

@@ -20,6 +20,7 @@
 
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -245,6 +246,12 @@ class SuiteContext
     struct PlannedCampaign
     {
         CampaignRaw raw;
+        /**
+         * The prepass's workload, held for the whole suite so its
+         * golden block stays live in the GoldenRegistry: the
+         * experiments' own builds of it are then lookups.
+         */
+        std::unique_ptr<Workload> workload;
         /** First experiment that declared it. */
         std::string owner;
         /** Wall ns of the prepass simulate-or-load. */

@@ -38,8 +38,13 @@ BM_DgemmGolden(benchmark::State &state)
 {
     DeviceModel device = makeK40();
     auto n = static_cast<int64_t>(state.range(0));
+    // A fresh input seed per iteration (never the canonical 42)
+    // makes every construction a golden-registry miss, so the loop
+    // times the golden computation even while a suite plan holds
+    // the canonical blocks.
+    uint64_t seed = 42;
     for (auto _ : state) {
-        Dgemm dgemm(device, n, 42);
+        Dgemm dgemm(device, n, ++seed);
         benchmark::DoNotOptimize(dgemm.goldenC().data());
     }
     state.SetItemsProcessed(state.iterations() * 2 * n * n * n);
@@ -67,8 +72,10 @@ BM_LavaMdGolden(benchmark::State &state)
 {
     DeviceModel device = makeK40();
     auto nb = static_cast<int64_t>(state.range(0));
+    // Fresh seeds: every construction computes (see above).
+    uint64_t seed = 42;
     for (auto _ : state) {
-        LavaMd lava(device, nb, 42);
+        LavaMd lava(device, nb, ++seed);
         benchmark::DoNotOptimize(lava.goldenForce().data());
     }
 }

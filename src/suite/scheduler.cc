@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <filesystem>
 #include <memory>
 #include <optional>
 #include <set>
@@ -13,7 +14,9 @@
 #include "common/logging.hh"
 #include "exec/chaos.hh"
 #include "exec/launch.hh"
+#include "logs/beamlog.hh"
 #include "obs/timeline.hh"
+#include "obs/timer.hh"
 #include "obs/trace.hh"
 #include "sim/sampler.hh"
 #include "suite/experiment.hh"
@@ -54,6 +57,11 @@ struct PrepassItem
     uint64_t wallNs = 0;
     bool simulated = false;
 
+    /** Store entry staged for a parse split over the workers. */
+    std::unique_ptr<BeamLogText> staged;
+    /** ns the workers spent parsing its pieces, summed. */
+    std::atomic<uint64_t> parseNs{0};
+
     // Sharded-dispatch state: the strike sampler built once on the
     // caller-visible miss path (shared read-only by every worker),
     // and the claim/completion bookkeeping for a campaign whose
@@ -70,40 +78,70 @@ struct PrepassItem
  * declare, in declaration order (which fixes owner attribution and
  * the sequential execution order, both identical to the historical
  * interleaved dedup-and-run loop).
+ *
+ * Requests dedup by value before any workload exists; the distinct
+ * ones build their workloads in parallel on the shared pool, where
+ * the golden registry computes each golden key once however many
+ * requests share it. The plan key (labels + runs) then dedups
+ * again, since it is what the store and the experiments address.
  */
 std::vector<std::unique_ptr<PrepassItem>>
 collectItems(const std::vector<Experiment *> &experiments,
              SuiteContext &ctx, ScheduleStats &stats)
 {
-    std::vector<std::unique_ptr<PrepassItem>> items;
-    std::set<std::string> seen;
+    ScopedTimer timer(StatsRegistry::global(), "suite.collect");
+
+    struct Declared
+    {
+        CampaignRequest req;
+        /** First experiment that declared it. */
+        std::string owner;
+        DeviceModel device;
+        std::unique_ptr<Workload> workload;
+    };
+    std::vector<Declared> declared;
+    std::set<CampaignRequest> seen_requests;
     for (Experiment *exp : experiments) {
         uint64_t runs = ctx.runsFor(*exp);
         for (const CampaignRequest &req : exp->campaigns(runs)) {
             ++stats.requested;
-            DeviceModel device = makeDevice(req.device);
-            std::unique_ptr<Workload> workload =
-                buildWorkload(device, req.workload);
-            std::string key = campaignPlanKey(
-                device.name, workload->name(),
-                workload->inputLabel(), req.runs);
-            if (ctx.planned(key) || !seen.insert(key).second)
-                continue;
-            ++stats.distinct;
-
-            auto item = std::make_unique<PrepassItem>();
-            item->key = std::move(key);
-            item->owner = exp->info().name;
-            item->device = std::move(device);
-            item->cfg = defaultCampaign(req.runs, item->device.name,
-                                        workload->name(),
-                                        workload->inputLabel());
-            item->cfg.sim.jobs = ctx.jobs();
-            item->cfg.sim.batchRuns = ctx.batchRuns();
-            item->cfg.sim.ioThreads = ctx.ioThreads();
-            item->workload = std::move(workload);
-            items.push_back(std::move(item));
+            if (seen_requests.insert(req).second)
+                declared.push_back({req, exp->info().name, {}, {}});
         }
+    }
+
+    ctx.pool().forDynamic(
+        declared.size(), 1,
+        [&](unsigned, uint64_t begin, uint64_t end) {
+            for (uint64_t idx = begin; idx < end; ++idx) {
+                Declared &d = declared[idx];
+                d.device = makeDevice(d.req.device);
+                d.workload = buildWorkload(d.device, d.req.workload);
+            }
+        });
+
+    std::vector<std::unique_ptr<PrepassItem>> items;
+    std::set<std::string> seen;
+    for (Declared &d : declared) {
+        std::string key = campaignPlanKey(
+            d.device.name, d.workload->name(),
+            d.workload->inputLabel(), d.req.runs);
+        if (ctx.planned(key) || !seen.insert(key).second)
+            continue;
+        ++stats.distinct;
+
+        auto item = std::make_unique<PrepassItem>();
+        item->key = std::move(key);
+        item->owner = std::move(d.owner);
+        item->device = std::move(d.device);
+        item->cfg = defaultCampaign(d.req.runs, item->device.name,
+                                    d.workload->name(),
+                                    d.workload->inputLabel());
+        item->cfg.sim.jobs = ctx.jobs();
+        item->cfg.sim.batchRuns = ctx.batchRuns();
+        item->cfg.sim.ioThreads = ctx.ioThreads();
+        item->workload = std::move(d.workload);
+        items.push_back(std::move(item));
     }
     return items;
 }
@@ -155,9 +193,50 @@ executeSequential(PrepassItem &item, SuiteContext &ctx)
         !(ctx.store() && ctx.store()->hits() > hits_before);
 }
 
+/** @return the campaign store's identity for one item. */
+CampaignKey
+storeKey(const PrepassItem &item)
+{
+    return {item.device.name, item.workload->name(),
+            item.workload->inputLabel(), item.cfg.sim};
+}
+
+/**
+ * @return the items in sharded phase A claim order: largest store
+ * entry first. On a warm cache the biggest entry (the CLAMR
+ * campaign, over half of the suite's bytes) has the most pieces to
+ * parse and the longest resolve, so it must start at once rather
+ * than behind smaller entries (longest-processing-time-first).
+ * Misses have no entry and go last, in declaration order like ties.
+ */
+std::vector<PrepassItem *>
+largestEntriesFirst(
+    const std::vector<std::unique_ptr<PrepassItem>> &items,
+    SuiteContext &ctx)
+{
+    std::vector<std::pair<uintmax_t, PrepassItem *>> sized;
+    for (const auto &item : items) {
+        std::error_code ec;
+        uintmax_t bytes = ctx.store()
+            ? std::filesystem::file_size(
+                  ctx.store()->pathFor(storeKey(*item)), ec)
+            : 0;
+        sized.emplace_back(ec ? 0 : bytes, item.get());
+    }
+    std::stable_sort(sized.begin(), sized.end(),
+                     [](const auto &a, const auto &b) {
+                         return a.first > b.first;
+                     });
+    std::vector<PrepassItem *> order;
+    for (const auto &entry : sized)
+        order.push_back(entry.second);
+    return order;
+}
+
 /**
  * Sharded phase A for one item, on the claiming worker thread: try
- * the store (materialized hit, same sim/launch/stats carry as
+ * the store with the item's staged entry, its pieces already parsed
+ * (materialized hit, same sim/launch/stats carry as
  * simulateOrLoad()), else prepare the campaign for the flattened
  * run dispatch — raw header, launch view, the shared read-only
  * strike sampler, and pre-sized run slots so phase B workers write
@@ -169,10 +248,8 @@ bool
 resolveStore(PrepassItem &item, SuiteContext &ctx)
 {
     if (CampaignStore *store = ctx.store()) {
-        CampaignKey key{item.device.name, item.workload->name(),
-                        item.workload->inputLabel(),
-                        item.cfg.sim};
-        if (auto hit = store->load(key)) {
+        if (auto hit = store->load(storeKey(item),
+                                   std::move(item.staged))) {
             item.raw = std::move(*hit);
             // jobs/ioThreads are execution details outside the
             // key; carry the caller's values (same as
@@ -314,15 +391,70 @@ scheduleCampaigns(const std::vector<Experiment *> &experiments,
         PoolRunStats poolStats;
         PoolRunStats phaseStats;
 
-        // Phase A — store resolution: hits load (and precompute
-        // their analysis) concurrently; misses build their raw
-        // header, sampler, and run slots for the flattened
-        // dispatch below.
+        // Phase A — store resolution, largest entry first. A
+        // warm prepass is mostly beam-log parsing, and one entry
+        // (CLAMR's) holds over half of the bytes, so the parse is
+        // split below the entry: stage every entry (read it, parse
+        // its per-run lines), parse the #ERR pieces of all entries
+        // in one flattened index space, then resolve each item.
+        // Hits finish their load (and precompute their analysis);
+        // misses build their raw header, sampler, and run slots
+        // for the flattened dispatch below.
+        std::vector<PrepassItem *> claim_order =
+            largestEntriesFirst(items, ctx);
+        if (CampaignStore *store = ctx.store()) {
+            ctx.pool().forDynamic(
+                items.size(), 1,
+                [&](unsigned worker, uint64_t begin, uint64_t end) {
+                    (void)worker;
+                    for (uint64_t idx = begin; idx < end; ++idx) {
+                        PrepassItem &item = *claim_order[idx];
+                        auto start = std::chrono::steady_clock::now();
+                        item.staged = store->stage(storeKey(item));
+                        item.wallNs += elapsedNs(start);
+                    }
+                },
+                &phaseStats);
+            poolStats.absorb(phaseStats);
+        }
+
+        std::vector<std::pair<PrepassItem *, size_t>> pieces;
+        for (PrepassItem *item : claim_order) {
+            if (item->staged) {
+                for (size_t p = 0; p < item->staged->pieces(); ++p)
+                    pieces.emplace_back(item, p);
+            }
+        }
+        phaseStats = PoolRunStats{};
+        ctx.pool().forDynamic(
+            pieces.size(), 1,
+            [&](unsigned worker, uint64_t begin, uint64_t end) {
+                for (uint64_t g = begin; g < end; ++g) {
+                    auto [item, p] = pieces[g];
+                    uint64_t span_begin = tl ? tl->nowNs() : 0;
+                    auto start = std::chrono::steady_clock::now();
+                    item->staged->parsePiece(p);
+                    item->parseNs.fetch_add(
+                        elapsedNs(start), std::memory_order_relaxed);
+                    if (tl) {
+                        lane(worker).span(
+                            item->key, "prepass", span_begin,
+                            tl->nowNs() - span_begin,
+                            {{"campaign", item->key},
+                             {"piece", std::to_string(p)},
+                             {"source", "store"}});
+                    }
+                }
+            },
+            &phaseStats);
+        poolStats.absorb(phaseStats);
+
+        phaseStats = PoolRunStats{};
         ctx.pool().forDynamic(
             items.size(), 1,
             [&](unsigned worker, uint64_t begin, uint64_t end) {
                 for (uint64_t idx = begin; idx < end; ++idx) {
-                    PrepassItem &item = *items[idx];
+                    PrepassItem &item = *claim_order[idx];
                     enter();
                     uint64_t span_begin = tl ? tl->nowNs() : 0;
                     auto start = std::chrono::steady_clock::now();
@@ -330,7 +462,8 @@ scheduleCampaigns(const std::vector<Experiment *> &experiments,
                     if (!item.simulated && !traceSink() && !tl)
                         item.analysis = analyzeCampaign(
                             item.raw, item.cfg.analysis);
-                    item.wallNs = elapsedNs(start);
+                    item.wallNs += item.parseNs.load() +
+                        elapsedNs(start);
                     if (tl && !item.simulated) {
                         lane(worker).span(
                             item.key, "prepass", span_begin,
@@ -476,6 +609,7 @@ scheduleCampaigns(const std::vector<Experiment *> &experiments,
 
         SuiteContext::PlannedCampaign entry;
         entry.raw = std::move(item->raw);
+        entry.workload = std::move(item->workload);
         entry.owner = std::move(item->owner);
         entry.wallNs = item->wallNs;
         entry.simulated = item->simulated;

@@ -15,6 +15,7 @@
 #ifndef RADCRIT_SUITE_SPEC_HH
 #define RADCRIT_SUITE_SPEC_HH
 
+#include <compare>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -48,6 +49,8 @@ struct WorkloadSpec
     WorkloadKind kind = WorkloadKind::Dgemm;
     int64_t param0 = 0;
     int64_t param1 = 0;
+
+    auto operator<=>(const WorkloadSpec &) const = default;
 };
 
 /** Spec builders for the four kernels. */
@@ -70,6 +73,9 @@ struct CampaignRequest
     DeviceId device = DeviceId::K40;
     WorkloadSpec workload;
     uint64_t runs = 0;
+
+    /** Requests compare by value (the scheduler's first dedup). */
+    auto operator<=>(const CampaignRequest &) const = default;
 };
 
 /**

@@ -11,6 +11,9 @@
 
 #include <cmath>
 #include <sstream>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "campaign/runner.hh"
 #include "kernels/dgemm.hh"
@@ -303,6 +306,162 @@ TEST(BeamLogTolerantRead, UnreadableFileReportsOpenFailure)
             .has_value());
     EXPECT_NE(error.find("cannot open beam log"),
               std::string::npos);
+}
+
+/** A two-run log: run 0 an SDC with three #ERR lines. */
+const char *const kTwoRunLog =
+    "#HEADER version=2 device=K40 workload=DGEMM input=x "
+    "seed=1 runs=2 sensitive_area_au=1\n"
+    "#RUN idx=0 outcome=SDC resource=RegisterFile "
+    "manifestation=BitFlipValue t=0.5 burst=1 entropy=1\n"
+    "#DIMS dims=2 x=4 y=4 z=1\n"
+    "#ERR x=1 y=2 z=0 read=1.5 expected=2\n"
+    "#ERR x=2 y=2 z=0 read=2.5 expected=3\n"
+    "#ERR x=3 y=2 z=0 read=3.5 expected=4\n"
+    "#END idx=0\n"
+    "#RUN idx=1 outcome=Masked resource=RegisterFile "
+    "manifestation=BitFlipValue t=0.5 burst=1 entropy=1\n"
+    "#END idx=1\n";
+
+std::string
+serialized(const CampaignRaw &raw)
+{
+    std::stringstream ss;
+    writeBeamLog(raw, ss);
+    return ss.str();
+}
+
+/**
+ * Parse `text` split into `pieceLines`-line pieces, last piece
+ * first, and require the outcome of the streaming tryReadBeamLog():
+ * the same campaign bytes, or the same diagnostic.
+ */
+void
+expectSplitMatchesStreamed(const std::string &text,
+                           uint64_t pieceLines)
+{
+    std::stringstream ss(text);
+    std::string streamed_error;
+    std::optional<CampaignRaw> streamed =
+        tryReadBeamLog(ss, &streamed_error);
+
+    BeamLogText log(text, pieceLines);
+    for (size_t p = log.pieces(); p-- > 0;)
+        log.parsePiece(p);
+    std::string split_error;
+    std::optional<CampaignRaw> split = log.take(&split_error);
+
+    ASSERT_EQ(split.has_value(), streamed.has_value())
+        << split_error << " / " << streamed_error;
+    if (streamed)
+        EXPECT_EQ(serialized(*split), serialized(*streamed));
+    else
+        EXPECT_EQ(split_error, streamed_error);
+}
+
+TEST_F(BeamLogTest, SplitParseMatchesTheStreamedRead)
+{
+    std::stringstream ss;
+    writeBeamLog(campaign(), ss);
+    std::string text = ss.str();
+    for (uint64_t lines : {1, 2, 7, 2048})
+        expectSplitMatchesStreamed(text, lines);
+    // Two-line pieces cut SDC runs' #ERR lines into several.
+    EXPECT_GT(BeamLogText(text, 2).pieces(),
+              BeamLogText(text, 2048).pieces());
+}
+
+TEST_F(BeamLogTest, PiecesParseConcurrently)
+{
+    std::stringstream ss;
+    writeBeamLog(campaign(), ss);
+    std::string text = ss.str();
+
+    BeamLogText log(text, 1);
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < 4; ++t) {
+        threads.emplace_back([&log, t] {
+            for (size_t p = t; p < log.pieces(); p += 4)
+                log.parsePiece(p);
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+    std::optional<CampaignRaw> back = log.take();
+    ASSERT_TRUE(back.has_value());
+    EXPECT_EQ(serialized(*back), text);
+}
+
+TEST(BeamLogText, PiecesFollowPieceLinesAndRuns)
+{
+    BeamLogText log(kTwoRunLog, 2);
+    EXPECT_EQ(log.pieces(), 2u);
+    for (size_t p = 0; p < log.pieces(); ++p)
+        log.parsePiece(p);
+    std::optional<CampaignRaw> raw = log.take();
+    ASSERT_TRUE(raw.has_value());
+    ASSERT_EQ(raw->runs.size(), 2u);
+    const auto &elements = raw->runs[0].record.elements;
+    ASSERT_EQ(elements.size(), 3u);
+    for (size_t i = 0; i < 3; ++i) {
+        EXPECT_EQ(elements[i].coord[0], static_cast<int64_t>(i + 1));
+        EXPECT_EQ(elements[i].read, 1.5 + static_cast<double>(i));
+    }
+    EXPECT_TRUE(raw->runs[1].record.elements.empty());
+}
+
+TEST(BeamLogText, OddlySpacedErrLinesKeepFileOrder)
+{
+    // A leading blank, an empty line inside the block and a tab
+    // after the keyword: every #ERR line lands in file order.
+    std::string text = kTwoRunLog;
+    text.replace(text.find("#ERR x=2"), 8, "  #ERR x=2");
+    text.replace(text.find("#ERR x=3"), 8, "\n#ERR\tx=3");
+    BeamLogText log(text, 1);
+    for (size_t p = 0; p < log.pieces(); ++p)
+        log.parsePiece(p);
+    std::string error;
+    std::optional<CampaignRaw> raw = log.take(&error);
+    ASSERT_TRUE(raw.has_value()) << error;
+    const auto &elements = raw->runs[0].record.elements;
+    ASSERT_EQ(elements.size(), 3u);
+    for (size_t i = 0; i < 3; ++i)
+        EXPECT_EQ(elements[i].coord[0], static_cast<int64_t>(i + 1));
+    expectSplitMatchesStreamed(text, 1);
+}
+
+TEST(BeamLogText, FirstMalformedLineInFileOrderIsReported)
+{
+    // A malformed #ERR line outranks a later malformed per-run
+    // line and a truncation at the end of the log, whichever piece
+    // or pass finds it.
+    std::string bad_err = kTwoRunLog;
+    bad_err.replace(bad_err.find("#ERR x=2 y=2 "), 13, "#ERR x=2 ");
+    std::string later_bad = bad_err;
+    later_bad.replace(later_bad.find("#END idx=1"), 4, "#WHAT");
+    std::string truncated =
+        bad_err.substr(0, bad_err.find("#END idx=0"));
+    std::string only_later = kTwoRunLog;
+    only_later.replace(only_later.find("#END idx=1"), 4, "#WHAT");
+    std::string stray_err = kTwoRunLog;
+    stray_err.insert(stray_err.find("#RUN idx=1"),
+                     "#ERR x=9 y=9 z=0 read=1 expected=2\n");
+
+    for (const std::string &text : {bad_err, later_bad, truncated}) {
+        BeamLogText log(text, 1);
+        for (size_t p = 0; p < log.pieces(); ++p)
+            log.parsePiece(p);
+        std::string error;
+        EXPECT_FALSE(log.take(&error).has_value());
+        EXPECT_NE(error.find("missing log field 'y'"),
+                  std::string::npos)
+            << error;
+    }
+    for (const std::string &text :
+         {bad_err, later_bad, truncated, only_later, stray_err}) {
+        for (uint64_t lines : {1, 2, 2048})
+            expectSplitMatchesStreamed(text, lines);
+    }
 }
 
 } // anonymous namespace

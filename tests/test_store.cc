@@ -10,7 +10,9 @@
 
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <optional>
+#include <sstream>
 
 #include "campaign/runner.hh"
 #include "campaign/store.hh"
@@ -140,6 +142,35 @@ TEST_F(StoreTest, SaveThenLoadRoundTrips)
     CampaignResult b = analyzeCampaign(*back, acfg);
     EXPECT_EQ(a.fitTotalAu(true), b.fitTotalAu(true));
     EXPECT_EQ(a.fitTotalAu(false), b.fitTotalAu(false));
+}
+
+TEST_F(StoreTest, StagedLoadMatchesPlainLoad)
+{
+    // A load whose parse was split into pieces (the sharded suite
+    // prepass) returns the same campaign and counts the same hit.
+    CampaignRaw raw = campaign();
+    CampaignStore store(dir_);
+    store.save(raw);
+    CampaignKey key = campaignKey(raw);
+
+    std::unique_ptr<BeamLogText> staged = store.stage(key);
+    ASSERT_NE(staged, nullptr);
+    for (size_t p = 0; p < staged->pieces(); ++p)
+        staged->parsePiece(p);
+    std::optional<CampaignRaw> split =
+        store.load(key, std::move(staged));
+    std::optional<CampaignRaw> plain = store.load(key);
+    ASSERT_TRUE(split.has_value());
+    ASSERT_TRUE(plain.has_value());
+    EXPECT_EQ(store.hits(), 2u);
+    std::stringstream a, b;
+    writeBeamLog(*split, a);
+    writeBeamLog(*plain, b);
+    EXPECT_EQ(a.str(), b.str());
+
+    CampaignKey other = key;
+    other.sim.seed = 13;
+    EXPECT_EQ(store.stage(other), nullptr);
 }
 
 TEST_F(StoreTest, MissingEntryIsAMissAndCounts)

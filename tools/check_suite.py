@@ -15,6 +15,12 @@ standalone bench shim, then asserts:
     served from the store, no unplanned misses).
  3. The suite JSON is valid schema 6 (delegated to
     check_bench_json.py's validator).
+ 4. Golden compute-once: in the warm run, each kernel's
+    kernel.<kernel>.golden.calls equals the number of distinct
+    golden keys among the planned campaigns (DESIGN.md "Golden
+    registry"), i.e. every golden output was computed exactly once
+    in the process although the prepass and many experiments build
+    the same workloads.
 
 Exit code 0 on success; prints a diagnostic and exits 1 on the
 first violation.
@@ -40,6 +46,15 @@ RAW_CLI_EXPERIMENTS = {"kernel_throughput"}
 
 ARTIFACT_EXTS = (".csv", ".ppm")
 
+# The warm run's microbenches: the ones that build only canonical
+# (planned) workloads. The golden, stencil-step and CLAMR-inject
+# benches build other golden keys on purpose (a fresh seed per
+# iteration, 16 iterations/steps, 256 CLAMR steps), which the
+# compute-once count below would otherwise include; the cold run
+# still exercises them all.
+WARM_GBENCH_FILTER = \
+    "BM_(DgemmInject|LavaMdInject|HotSpotInject|StrikeSampling)$"
+
 
 def fail(msg):
     print("check_suite: FAIL: %s" % msg)
@@ -60,6 +75,28 @@ def run(cmd, cwd, extra_env=None):
         fail("command failed (%d): %s" %
              (proc.returncode, " ".join(cmd)))
     return proc.stdout.decode("utf-8", "replace")
+
+
+def planned_golden_keys(catalog):
+    """Distinct golden keys per kernel among the catalog workloads,
+    which "run all" plans once each: DGEMM is keyed by side alone
+    (the devices share it), LavaMD by boxes and particles per box
+    (which differ per device), HotSpot and CLAMR by grid."""
+    keys = {"dgemm": set(), "lavamd": set(), "hotspot": set(),
+            "clamr": set()}
+    for w in catalog["workloads"]:
+        kind = w["kind"]
+        if kind == "DGEMM":
+            keys["dgemm"].add(w["scaled_side"])
+        elif kind == "LavaMD":
+            keys["lavamd"].add((w["device"], w["scaled_boxes"]))
+        elif kind == "HotSpot":
+            keys["hotspot"].add(w["scaled_grid"])
+        elif kind == "CLAMR":
+            keys["clamr"].add(w["scaled_grid"])
+        else:
+            fail("unknown workload kind %r in the catalog" % kind)
+    return {kernel: len(found) for kernel, found in keys.items()}
 
 
 def artifact_files(out_dir):
@@ -157,8 +194,8 @@ def check(args, suite, bench_dir, sandbox):
 
     # --- Suite run 2: warm cache, parallel pool. ---------------
     run([suite, "run", "all", "--runs", str(args.runs),
-         "--jobs", "8", "--cache", cache, "--out", suite8] +
-        gbench, sandbox)
+         "--jobs", "8", "--cache", cache, "--out", suite8,
+         "--gbench-filter", WARM_GBENCH_FILTER] + gbench, sandbox)
     doc2 = json.load(open(os.path.join(suite8,
                                        "radcrit_suite.json")))
     validate_suite_json(doc2)
@@ -178,6 +215,23 @@ def check(args, suite, bench_dir, sandbox):
              camp2["unplanned_misses"])
     print("check_suite: warm run: 0 simulated, %d store hits" %
           camp2["store_hits"])
+
+    # --- Golden compute-once (warm run). ------------------------
+    if camp2["distinct"] != len(catalog["workloads"]):
+        fail("warm run planned %d campaigns, expected one per "
+             "catalog workload (%d)" %
+             (camp2["distinct"], len(catalog["workloads"])))
+    stats = doc2["stats"]
+    for kernel, expected in sorted(
+            planned_golden_keys(catalog).items()):
+        name = "kernel.%s.golden.calls" % kernel
+        calls = stats.get(name, {}).get("value", 0)
+        if calls != expected:
+            fail("%s = %d, expected %d (one per distinct golden "
+                 "key among the planned campaigns)" %
+                 (name, calls, expected))
+        print("check_suite: %s = %d (one per golden key)" %
+              (name, calls))
 
     # --- Standalone shims. -------------------------------------
     os.makedirs(shim_out, exist_ok=True)

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Build the tree under a sanitizer and run the concurrency- and
 # chaos-labelled tests (worker pool + parallel campaign engine
-# determinism, chaos injection, watchdog, checkpoint/resume).
+# determinism, golden registry, chaos injection, watchdog,
+# checkpoint/resume).
 #
 # Usage: tools/sanitize_check.sh [thread|address] [build-dir]
 #
@@ -30,6 +31,6 @@ cmake -B "$BUILD_DIR" -S "$SOURCE_DIR" \
 cmake --build "$BUILD_DIR" -j "$(nproc)" \
       --target test_pool test_engine test_jobs_precedence \
       test_timeline test_chaos test_resume test_prop_chaos \
-      radcrit_cli
+      test_golden_registry radcrit_cli
 ctest --test-dir "$BUILD_DIR" -L "concurrency|chaos" \
       --output-on-failure
